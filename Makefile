@@ -44,15 +44,17 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Allocation-budget regression gate for the diagnosis hot path. Runs
+# Allocation-budget regression gates for the diagnosis hot path and the
+# streaming detection tick. Runs
 # without -race on purpose: sync.Pool drops items at random under the
 # detector, which makes allocs/op nondeterministic (the -race run above
-# skips this test for the same reason). -v so the gate's benchstat-style
+# skips these tests for the same reason). -v so the gate's benchstat-style
 # headroom note (printed when the measurement is within 10% of the
 # ceiling) reaches the ci log instead of being swallowed with passing
 # test output.
 alloc-gate:
 	$(GO) test -v -run TestExplainAllocCeiling .
+	$(GO) test -v -run TestStreamTickAllocs ./internal/detect/
 
 # Metric-naming contract: every registered family must carry the
 # dbsherlock_ namespace, _total on counters, a unit suffix on
@@ -83,14 +85,16 @@ bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
 
 # Short fuzz campaigns over the CSV parser, the model-merge rule, the
-# region iterator round-trip, the store's on-disk decoders, and the
-# Prometheus exposition writer.
+# region iterator round-trip, grid vs naive DBSCAN, streaming vs batch
+# detection, the store's on-disk decoders, and the Prometheus
+# exposition writer.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzMergePredicates -fuzztime=10s ./internal/causal/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeCategorical -fuzztime=10s ./internal/causal/
 	$(GO) test -run='^$$' -fuzz=FuzzRegionRoundTrip -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz=FuzzGridClusterEquivalence -fuzztime=10s ./internal/dbscan/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamMatchesBatch -fuzztime=10s ./internal/detect/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzWritePrometheus -fuzztime=10s ./internal/obs/

@@ -117,26 +117,52 @@ func KDistInto(dst []float64, points []Point, k int) []float64 {
 // kdistAllNaive fills dst with the naive O(n²) k-dist list.
 func kdistAllNaive(dst []float64, points []Point, k int, sc *kdScratch) []float64 {
 	for i := range points {
-		dists := sc.dists[:0]
-		for j := range points {
-			if i != j {
-				dists = append(dists, Distance(points[i], points[j]))
-			}
-		}
-		sc.dists = dists
-		if len(dists) == 0 {
-			dst[i] = 0
-			continue
-		}
-		sort.Float64s(dists)
-		idx := k - 1
-		if idx >= len(dists) {
-			idx = len(dists) - 1
-		}
-		dst[i] = dists[idx]
+		dst[i] = kdistScan(points, i, k, sc)
 	}
 	sort.Float64s(dst)
 	return dst
+}
+
+// kdistScan is points[i]'s k-dist by a scan over all points that keeps
+// only the k smallest distances (insertBest) instead of sorting all
+// n-1. Distances are never -0, so for non-NaN inputs the k-th value is
+// bitwise the one a full sort yields. sort.Float64s orders NaN first
+// and not stably, so a NaN distance sends the point to kdistSorted.
+func kdistScan(points []Point, i, k int, sc *kdScratch) float64 {
+	best := sc.best[:0]
+	for j := range points {
+		if j == i {
+			continue
+		}
+		d := Distance(points[i], points[j])
+		if math.IsNaN(d) {
+			sc.best = best
+			return kdistSorted(points, i, k, sc)
+		}
+		best = insertBest(best, d, k)
+	}
+	sc.best = best
+	if len(best) == 0 {
+		return 0
+	}
+	return best[min(k, len(best))-1]
+}
+
+// kdistSorted is points[i]'s k-dist by fully sorting its distances: the
+// reference behaviour of KDist, kept for point sets with NaN distances.
+func kdistSorted(points []Point, i, k int, sc *kdScratch) float64 {
+	dists := sc.dists[:0]
+	for j := range points {
+		if j != i {
+			dists = append(dists, Distance(points[i], points[j]))
+		}
+	}
+	sc.dists = dists
+	if len(dists) == 0 {
+		return 0
+	}
+	sort.Float64s(dists)
+	return dists[min(k, len(dists))-1]
 }
 
 // Cluster runs DBSCAN and returns a cluster id per point: 0..n-1 for

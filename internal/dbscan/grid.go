@@ -260,7 +260,7 @@ func (g *grid) kdist(points []Point, i, k int, sc *kdScratch) float64 {
 		for {
 			work++
 			if work > budget {
-				return g.kdistNaive(points, i, k, sc)
+				return kdistScan(points, i, k, sc)
 			}
 			shell := r == 0
 			for j := 0; j < g.dims; j++ {
@@ -277,7 +277,7 @@ func (g *grid) kdist(points []Point, i, k int, sc *kdScratch) float64 {
 				if s, ok := g.span[key]; ok {
 					work += int(s.n)
 					if work > budget {
-						return g.kdistNaive(points, i, k, sc)
+						return kdistScan(points, i, k, sc)
 					}
 					for _, j := range g.idx[s.start : s.start+s.n] {
 						if int(j) == i {
@@ -328,26 +328,6 @@ func (g *grid) ringExhausted(i int, r int32) bool {
 		}
 	}
 	return true
-}
-
-// kdistNaive is the per-point fallback: scan all points.
-func (g *grid) kdistNaive(points []Point, i, k int, sc *kdScratch) float64 {
-	dists := sc.dists[:0]
-	for j := range points {
-		if j != i {
-			dists = append(dists, Distance(points[i], points[j]))
-		}
-	}
-	sc.dists = dists
-	if len(dists) == 0 {
-		return 0
-	}
-	sort.Float64s(dists)
-	ki := k - 1
-	if ki >= len(dists) {
-		ki = len(dists) - 1
-	}
-	return dists[ki]
 }
 
 // insertBest inserts d into the ascending k-smallest buffer.

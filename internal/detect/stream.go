@@ -2,6 +2,7 @@ package detect
 
 import (
 	"math"
+	"sort"
 
 	"dbsherlock/internal/core"
 	"dbsherlock/internal/dbscan"
@@ -17,16 +18,24 @@ import (
 //
 // The batch pipeline recomputes everything per pass: per-attribute
 // normalization, the Equation (4) sliding-median sweep, and the DBSCAN
-// point set. Stream instead keeps per-attribute state across ticks —
-// monotonic min/max deques over the raw window, a sorted multiset of
-// normalized values for the overall median, and a continuation of the
-// tau-window median sweep — so a tick costs O(rows-added) per attribute
-// when the window's min/max are stable, falling back to a full
-// per-attribute rebuild (the batch cost) when they shift. Equality is
-// exact because every maintained quantity is rebuilt from scratch the
-// moment its normalization inputs change, and the potential-power
-// maximum over window medians is attained at the median set's extremes,
-// which the deques track bitwise.
+// point set. Stream instead keeps per-attribute state across ticks, all
+// of it over raw values: monotonic min/max deques, the sorted multiset
+// of the window (updated by one in-place merge per tick), the sorted
+// tail of the last tau rows, and deques of candidate tau-window medians
+// held as raw middle order statistics. Equation (2) with finite
+// extremes and span is monotone non-decreasing under IEEE rounding, so
+// sorting commutes with normalization: every median the batch pipeline
+// takes is one or two raw order statistics normalized and interpolated
+// exactly as stats.MedianSorted does. None of the state therefore
+// depends on the window's extremes, and a tick that moves them costs
+// the same as one that does not: the sweep continues over the new rows
+// and only the candidates — windows whose middle values no later window
+// matches or beats in both (below, for the lowest median; above, for
+// the highest) — are normalized. The potential-power maximum over window
+// medians is attained at the lowest or highest median, and monotonicity
+// keeps a window that attains it among the candidates. A window with
+// infinite extremes or an overflowing span normalizes every value to 0
+// or NaN, so its potential power is 0 without any sweep.
 //
 // Stream is not safe for concurrent use; serialize Append and Detect.
 type Stream struct {
@@ -53,44 +62,152 @@ type Stream struct {
 	region   *metrics.Region
 }
 
-// idxVal is one monotonic-deque entry: a value tagged with the absolute
-// row (or window-position) index it came from, so expired entries can
-// be popped from the front as the window slides.
+// idxVal is one extremes entry: a raw value tagged with its absolute
+// row, so expired entries can be popped from the front as the window
+// slides.
 type idxVal struct {
 	idx int
 	v   float64
 }
 
+// extremes is a monotonic deque over the raw window whose front is its
+// minimum (pushMin) or maximum (pushMax). Strict-inequality pops keep
+// the first-encountered of equal extremes, so the front is bitwise what
+// stats.MinMax returns. Expired entries are skipped by advancing head
+// and compacted in place once they make up half the buffer, so a deque
+// that has reached its working size never reallocates.
+type extremes struct {
+	buf  []idxVal
+	head int
+}
+
+// expire drops the entries from rows before lo.
+func (d *extremes) expire(lo int) {
+	h := d.head
+	for h < len(d.buf) && d.buf[h].idx < lo {
+		h++
+	}
+	if h > len(d.buf)/2 {
+		d.buf = d.buf[:copy(d.buf, d.buf[h:])]
+		h = 0
+	}
+	d.head = h
+}
+
+// front returns the window extreme; ok is false for a window of NaNs.
+func (d *extremes) front() (v float64, ok bool) {
+	if d.head == len(d.buf) {
+		return 0, false
+	}
+	return d.buf[d.head].v, true
+}
+
+func (d *extremes) pushMin(r int, x float64) {
+	n := len(d.buf)
+	for n > d.head && d.buf[n-1].v > x {
+		n--
+	}
+	d.buf = append(d.buf[:n], idxVal{r, x})
+}
+
+func (d *extremes) pushMax(r int, x float64) {
+	n := len(d.buf)
+	for n > d.head && d.buf[n-1].v < x {
+		n--
+	}
+	d.buf = append(d.buf[:n], idxVal{r, x})
+}
+
+// midPair is one tau-window's median as raw order statistics: the
+// middle value of an odd-sized window (lo == hi), or the two middle
+// values of an even-sized one, which its median interpolates. idx is
+// the window's absolute end row.
+type midPair struct {
+	idx    int
+	lo, hi float64
+	even   bool
+}
+
+// middle returns the middle order statistics of sorted non-empty s.
+func middle(s []float64) midPair {
+	n := len(s)
+	return midPair{lo: s[(n-1)/2], hi: s[n/2], even: n%2 == 0}
+}
+
+// dominates reports whether m's median is at least o's under every
+// finite-span normalization: Equation (2) and the interpolation are
+// monotone in each middle value, so a pair no lower in both is no lower
+// after normalizing. Odd and even pairs are not compared: an odd median
+// is the normalized value itself, not an interpolation of it with
+// itself, and the two can differ by rounding.
+func (m midPair) dominates(o midPair) bool {
+	return m.even == o.even && m.lo >= o.lo && m.hi >= o.hi
+}
+
+// candidates holds the tau-windows that may attain the lowest
+// (pushLow) or highest (pushHigh) median: each window no later window
+// dominates from that side. A later window expires later, so a
+// dominated one can never be needed again. Entries are in row order and
+// compacted like extremes.
+type candidates struct {
+	buf  []midPair
+	head int
+}
+
+func (d *candidates) live() []midPair { return d.buf[d.head:] }
+func (d *candidates) reset()          { d.buf, d.head = d.buf[:0], 0 }
+
+// expire drops the windows ending before row lo.
+func (d *candidates) expire(lo int) {
+	h := d.head
+	for h < len(d.buf) && d.buf[h].idx < lo {
+		h++
+	}
+	if h > len(d.buf)/2 {
+		d.buf = d.buf[:copy(d.buf, d.buf[h:])]
+		h = 0
+	}
+	d.head = h
+}
+
+func (d *candidates) pushLow(m midPair) {
+	n := len(d.buf)
+	for n > d.head && d.buf[n-1].dominates(m) {
+		n--
+	}
+	d.buf = append(d.buf[:n], m)
+}
+
+func (d *candidates) pushHigh(m midPair) {
+	n := len(d.buf)
+	for n > d.head && m.dominates(d.buf[n-1]) {
+		n--
+	}
+	d.buf = append(d.buf[:n], m)
+}
+
 // attrStream is the incremental detection state of one numeric
-// attribute.
+// attribute. Everything but the last normalization and pp is kept on
+// raw values, so none of it depends on the window's extremes.
 type attrStream struct {
 	ring    []float64 // raw values; absolute row r lives at ring[r%cap]
-	dropped []float64 // raw values evicted since the last Detect
+	evicted []float64 // non-NaN raw values evicted since the last Detect; merge scratch during it
 
-	// Monotonic deques over the raw window, maintained on every append.
-	// Their fronts are bitwise-identical to stats.MinMax over the
-	// window: strict-inequality pops keep the first-encountered extreme,
-	// matching MinMax's strict < and > updates.
-	minDq, maxDq []idxVal
+	// The raw window's extremes, maintained on every append.
+	minDq, maxDq extremes
 
-	// Normalization-dependent state, valid only while (ok, min, max)
-	// match the cached triple below. Any change triggers a full rebuild,
-	// so every value here is always bitwise what the batch pipeline
-	// would compute on the current window.
-	built     bool
-	ok        bool
-	min, max  float64
-	prevRows  int
-	prevTotal int
+	sorted []float64 // sorted non-NaN raw values of the window
+	tail   []float64 // sorted non-NaN raw values of the last tau rows
 
-	sortedNorm []float64 // sorted non-NaN normalized values of the window
-	tail       []float64 // sorted non-NaN normalized values of the last tau rows
-	meds       []float64 // sliding-window medians; meds[i] ends at row medBase+i
-	medBase    int       // absolute end row of meds[0]
-	medMin     []idxVal  // monotonic deques over meds (NaN medians skipped)
-	medMax     []idxVal
+	// Candidates for the lowest and highest tau-window median. A
+	// tau-window of NaNs has no median and no entry.
+	lowMids, highMids candidates
 
-	pp float64 // potential power as of the last Detect
+	ok       bool // the window has a non-NaN value; min and max are its extremes
+	min, max float64
+
+	prevRows, prevTotal int
+	pp                  float64 // potential power as of the last Detect
 }
 
 // NewStream builds a streaming detector over a window of windowCap rows.
@@ -149,44 +266,26 @@ func (s *Stream) Append(ds *metrics.Dataset) {
 func (a *attrStream) push(vals []float64, total, cap int) {
 	for i, x := range vals {
 		r := total + i
-		if r >= cap {
-			// The value of row r-cap is about to be overwritten; keep it
-			// so Detect can unwind it from the sorted multiset. If
-			// Detect hasn't run for over a window's worth of rows the
-			// incremental state is a lost cause — drop it and rebuild.
-			if len(a.dropped) >= cap {
-				a.dropped = a.dropped[:0]
-				a.built = false
-			} else {
-				a.dropped = append(a.dropped, a.ring[r%cap])
-			}
+		// Keep the value about to be overwritten so Detect can merge it
+		// out of the sorted window. Past a whole window of evictions
+		// Detect re-sorts from the ring instead, so stop collecting.
+		if old := a.ring[r%cap]; r >= cap && len(a.evicted) < cap && !math.IsNaN(old) {
+			a.evicted = append(a.evicted, old)
 		}
 		a.ring[r%cap] = x
 		if !math.IsNaN(x) {
 			lo := r + 1 - cap // oldest row still in the window after this push
-			for len(a.minDq) > 0 && a.minDq[0].idx < lo {
-				a.minDq = a.minDq[1:]
-			}
-			for len(a.maxDq) > 0 && a.maxDq[0].idx < lo {
-				a.maxDq = a.maxDq[1:]
-			}
-			for n := len(a.minDq); n > 0 && a.minDq[n-1].v > x; n-- {
-				a.minDq = a.minDq[:n-1]
-			}
-			a.minDq = append(a.minDq, idxVal{r, x})
-			for n := len(a.maxDq); n > 0 && a.maxDq[n-1].v < x; n-- {
-				a.maxDq = a.maxDq[:n-1]
-			}
-			a.maxDq = append(a.maxDq, idxVal{r, x})
+			a.minDq.expire(lo)
+			a.maxDq.expire(lo)
+			a.minDq.pushMin(r, x)
+			a.maxDq.pushMax(r, x)
 		}
 	}
 }
 
-// norm is Equation (2) on one value under the attribute's cached window
-// extremes — the same formula stats.Normalize applies, preserving NaN.
-// Note a non-NaN input can normalize to NaN (infinite extremes); all
-// skip-NaN decisions below therefore look at the normalized value, as
-// the batch pipeline does.
+// norm is Equation (2) on one value under the window extremes of the
+// last Detect — the same formula stats.Normalize applies, preserving
+// NaN.
 func (a *attrStream) norm(x float64) float64 {
 	if math.IsNaN(x) {
 		return math.NaN()
@@ -298,168 +397,175 @@ func (s *Stream) Detect() Result {
 }
 
 // update brings one attribute's potential power to the current window
-// [lo, lo+rows), incrementally when the cached normalization is still
-// valid and by full rebuild otherwise.
+// [lo, lo+rows).
 func (a *attrStream) update(lo, rows, tau, total, cap int) {
+	added := total - a.prevTotal
+	prevRows := a.prevRows
+	a.prevRows, a.prevTotal = rows, total
+	a.mergeWindow(lo, rows, added, total, cap)
+	if prevRows >= tau && added <= rows-tau {
+		// Continue the sweep over the appended rows. Window positions
+		// are keyed by their absolute end row; the first surviving
+		// position ends at lo+tau-1, and every tau-window predecessor
+		// of an appended row is still in the ring.
+		a.lowMids.expire(lo + tau - 1)
+		a.highMids.expire(lo + tau - 1)
+		for r := total - added; r < total; r++ {
+			a.slide(r, a.ring[(r-tau)%cap], a.ring[r%cap])
+		}
+	} else {
+		a.sweep(lo, rows, tau, cap)
+	}
+
 	// NaN-only pushes don't pop expired entries; do it before reading.
-	for len(a.minDq) > 0 && a.minDq[0].idx < lo {
-		a.minDq = a.minDq[1:]
-	}
-	for len(a.maxDq) > 0 && a.maxDq[0].idx < lo {
-		a.maxDq = a.maxDq[1:]
-	}
-	ok := len(a.minDq) > 0
-	var min, max float64
-	if ok {
-		min, max = a.minDq[0].v, a.maxDq[0].v
-	}
-	if !ok || max-min == 0 {
-		// All-NaN window → overall median NaN → pp 0; constant window →
-		// every normalized value 0 → pp 0. Either way the batch pipeline
-		// reports zero potential, and the sorted state is stale.
+	a.minDq.expire(lo)
+	a.maxDq.expire(lo)
+	a.min, a.ok = a.minDq.front()
+	a.max, _ = a.maxDq.front()
+	if span := a.max - a.min; !(span > 0 && span <= math.MaxFloat64) {
+		// All-NaN window → overall median NaN; constant window → every
+		// normalized value 0; an infinite extreme or an overflowing span
+		// → every normalized value 0 or NaN. The batch pipeline reports
+		// zero potential in each case.
 		a.pp = 0
-		a.built = false
-		a.invalidate(ok, min, max, rows, total)
 		return
 	}
-	added := total - a.prevTotal
-	sameNorm := a.built && a.ok == ok &&
-		math.Float64bits(a.min) == math.Float64bits(min) &&
-		math.Float64bits(a.max) == math.Float64bits(max)
-	if sameNorm && a.prevRows >= tau && rows >= tau && added <= rows-tau {
-		a.advance(lo, tau, total, cap)
-	} else {
-		a.ok, a.min, a.max = ok, min, max
-		a.rebuild(lo, rows, tau, cap)
-	}
-	a.finish(rows, total)
 
-	overall := stats.MedianSorted(a.sortedNorm)
+	// Equation (2) is monotone here, so the batch sweep's maximum of
+	// |overall - median| over all windows is attained at its lowest or
+	// highest window median, and a dominating candidate attains it too.
+	overall := a.normMedian(middle(a.sorted))
 	pp := 0.0
-	if len(a.medMin) > 0 {
-		if d := math.Abs(overall - a.medMin[0].v); d > pp {
+	for _, m := range a.lowMids.live() {
+		if d := math.Abs(overall - a.normMedian(m)); d > pp {
 			pp = d
 		}
-		if d := math.Abs(overall - a.medMax[0].v); d > pp {
+	}
+	for _, m := range a.highMids.live() {
+		if d := math.Abs(overall - a.normMedian(m)); d > pp {
 			pp = d
 		}
 	}
 	a.pp = pp
 }
 
-// invalidate records the cache key and discards pending eviction work
-// after a tick that produced no sorted state.
-func (a *attrStream) invalidate(ok bool, min, max float64, rows, total int) {
-	a.ok, a.min, a.max = ok, min, max
-	a.finish(rows, total)
+// normMedian is stats.MedianSorted of the normalized window whose raw
+// middle order statistics are m. With finite extremes and span,
+// Equation (2) is monotone non-decreasing under IEEE rounding, so the
+// normalized window sorts in the raw order and its middle elements are
+// m's, normalized.
+func (a *attrStream) normMedian(m midPair) float64 {
+	if !m.even {
+		return a.norm(m.lo)
+	}
+	mid := [2]float64{a.norm(m.lo), a.norm(m.hi)}
+	return stats.MedianSorted(mid[:])
 }
 
-func (a *attrStream) finish(rows, total int) {
-	a.dropped = a.dropped[:0]
-	a.prevRows = rows
-	a.prevTotal = total
-}
-
-// advance applies the rows evicted and appended since the last tick to
-// the sorted state. Valid only when the normalization extremes are
-// unchanged (so retained normalized values are bitwise stable) and the
-// advance is small enough that every tau-window predecessor row is
-// still in the ring.
-func (a *attrStream) advance(lo, tau, total, cap int) {
-	for _, x := range a.dropped {
-		if nx := a.norm(x); !math.IsNaN(nx) {
-			a.sortedNorm = stats.RemoveSorted(a.sortedNorm, nx)
+// mergeWindow brings the sorted window multiset up to date: one
+// in-place merge that drops the evicted values and takes in the
+// appended ones, or a full sort from the ring when the window turned
+// over entirely since the last Detect.
+func (a *attrStream) mergeWindow(lo, rows, added, total, cap int) {
+	if added >= rows {
+		a.sorted = a.sorted[:0]
+		for i := 0; i < rows; i++ {
+			if x := a.ring[(lo+i)%cap]; !math.IsNaN(x) {
+				a.sorted = append(a.sorted, x)
+			}
 		}
-	}
-	for r := a.prevTotal; r < total; r++ {
-		if nx := a.norm(a.ring[r%cap]); !math.IsNaN(nx) {
-			a.sortedNorm = stats.InsertSorted(a.sortedNorm, nx)
-		}
-	}
-
-	// Window positions are keyed by their absolute end row; the first
-	// surviving position ends at lo+tau-1.
-	newBase := lo + tau - 1
-	if k := newBase - a.medBase; k > 0 {
-		copy(a.meds, a.meds[k:])
-		a.meds = a.meds[:len(a.meds)-k]
-		a.medBase = newBase
-	}
-	for len(a.medMin) > 0 && a.medMin[0].idx < newBase {
-		a.medMin = a.medMin[1:]
-	}
-	for len(a.medMax) > 0 && a.medMax[0].idx < newBase {
-		a.medMax = a.medMax[1:]
-	}
-
-	// Continue the tau-window median sweep over the appended rows: the
-	// same remove-outgoing/insert-incoming shift SlidingWindowMedians
-	// performs, picked up where the last tick left off.
-	for r := a.prevTotal; r < total; r++ {
-		if out := a.norm(a.ring[(r-tau)%cap]); !math.IsNaN(out) {
-			a.tail = stats.RemoveSorted(a.tail, out)
-		}
-		if in := a.norm(a.ring[r%cap]); !math.IsNaN(in) {
-			a.tail = stats.InsertSorted(a.tail, in)
-		}
-		a.pushMed(r, stats.MedianSorted(a.tail))
-	}
-}
-
-// rebuild recomputes the sorted state from the ring exactly as the
-// batch pipeline would: normalized multiset, then the full
-// SlidingWindowMedians sweep with an effective tau clamped to the
-// window length.
-func (a *attrStream) rebuild(lo, rows, tau, cap int) {
-	a.sortedNorm = a.sortedNorm[:0]
-	a.tail = a.tail[:0]
-	a.meds = a.meds[:0]
-	a.medMin = a.medMin[:0]
-	a.medMax = a.medMax[:0]
-
-	for i := 0; i < rows; i++ {
-		if nx := a.norm(a.ring[(lo+i)%cap]); !math.IsNaN(nx) {
-			a.sortedNorm = stats.InsertSorted(a.sortedNorm, nx)
-		}
-	}
-
-	effTau := tau
-	if effTau > rows {
-		effTau = rows
-	}
-	for i := 0; i < effTau; i++ {
-		if nx := a.norm(a.ring[(lo+i)%cap]); !math.IsNaN(nx) {
-			a.tail = stats.InsertSorted(a.tail, nx)
-		}
-	}
-	a.medBase = lo + effTau - 1
-	a.pushMed(a.medBase, stats.MedianSorted(a.tail))
-	for w := 1; w+effTau <= rows; w++ {
-		if out := a.norm(a.ring[(lo+w-1)%cap]); !math.IsNaN(out) {
-			a.tail = stats.RemoveSorted(a.tail, out)
-		}
-		if in := a.norm(a.ring[(lo+w+effTau-1)%cap]); !math.IsNaN(in) {
-			a.tail = stats.InsertSorted(a.tail, in)
-		}
-		a.pushMed(lo+w+effTau-1, stats.MedianSorted(a.tail))
-	}
-	a.built = true
-}
-
-// pushMed records the median of the window ending at absolute row r and
-// feeds the median extreme deques (NaN medians contribute nothing to
-// potential power, as in the batch sweep).
-func (a *attrStream) pushMed(r int, m float64) {
-	a.meds = append(a.meds, m)
-	if math.IsNaN(m) {
+		sort.Float64s(a.sorted)
+		a.evicted = a.evicted[:0]
 		return
 	}
-	for n := len(a.medMin); n > 0 && a.medMin[n-1].v > m; n-- {
-		a.medMin = a.medMin[:n-1]
+	// With added < rows <= cap every evicted value was kept and every
+	// appended row is still in the ring.
+	out := a.evicted
+	sort.Float64s(out)
+	buf := out
+	for r := total - added; r < total; r++ {
+		if x := a.ring[r%cap]; !math.IsNaN(x) {
+			buf = append(buf, x)
+		}
 	}
-	a.medMin = append(a.medMin, idxVal{r, m})
-	for n := len(a.medMax); n > 0 && a.medMax[n-1].v < m; n-- {
-		a.medMax = a.medMax[:n-1]
+	in := buf[len(out):]
+	sort.Float64s(in)
+	a.sorted = mergeSorted(subtractSorted(a.sorted, out), in)
+	a.evicted = buf[:0]
+}
+
+// subtractSorted deletes one occurrence of each element of sorted del
+// from sorted s, in place, moving the runs between deletions with one
+// copy each. Every element of del must be in s.
+func subtractSorted(s, del []float64) []float64 {
+	if len(del) == 0 {
+		return s
 	}
-	a.medMax = append(a.medMax, idxVal{r, m})
+	w := sort.SearchFloat64s(s, del[0])
+	i := w
+	for _, x := range del {
+		j := i
+		for s[j] < x {
+			j++
+		}
+		w += copy(s[w:], s[i:j])
+		i = j + 1
+	}
+	w += copy(s[w:], s[i:])
+	return s[:w]
+}
+
+// mergeSorted merges sorted in into sorted s from the back, in place.
+func mergeSorted(s, in []float64) []float64 {
+	i := len(s) - 1
+	s = append(s, in...)
+	for j, w := len(in)-1, len(s)-1; j >= 0; w-- {
+		if i >= 0 && s[i] > in[j] {
+			s[w] = s[i]
+			i--
+		} else {
+			s[w] = in[j]
+			j--
+		}
+	}
+	return s
+}
+
+// sweep rebuilds the tau-window state over the whole window exactly as
+// SlidingWindowMedians sweeps it, with tau clamped to the window length.
+func (a *attrStream) sweep(lo, rows, tau, cap int) {
+	a.tail = a.tail[:0]
+	a.lowMids.reset()
+	a.highMids.reset()
+	effTau := min(tau, rows)
+	for i := 0; i < effTau; i++ {
+		if x := a.ring[(lo+i)%cap]; !math.IsNaN(x) {
+			a.tail = stats.InsertSorted(a.tail, x)
+		}
+	}
+	a.pushMid(lo + effTau - 1)
+	for r := lo + effTau; r < lo+rows; r++ {
+		a.slide(r, a.ring[(r-effTau)%cap], a.ring[r%cap])
+	}
+}
+
+// slide moves the tau window to end at absolute row r, trading the raw
+// value out of its first row for in of row r as SlidingWindowMedians
+// does.
+func (a *attrStream) slide(r int, out, in float64) {
+	a.tail = stats.ShiftSorted(a.tail, out, in)
+	a.pushMid(r)
+}
+
+// pushMid enters the median of the window ending at absolute row r into
+// the candidate deques (a window of NaNs has none, as in the batch
+// sweep, whose NaN medians never raise potential power).
+func (a *attrStream) pushMid(r int) {
+	if len(a.tail) == 0 {
+		return
+	}
+	m := middle(a.tail)
+	m.idx = r
+	a.lowMids.pushLow(m)
+	a.highMids.pushHigh(m)
 }

@@ -182,6 +182,36 @@ func TestStreamTinyTau(t *testing.T) {
 	}
 }
 
+func TestStreamOddEvenMedianRounding(t *testing.T) {
+	// With tau=3, the window ending at row 8 holds {s, s, s}: odd, its
+	// median normalizes to s. The windows ending at rows 9 and 10 hold
+	// two s and a NaN: even, their median s*0.5 + s*0.5 rounds to 0.
+	// Those later even pairs are no lower in both middle values, yet
+	// their median is lower, so they must not evict the odd window from
+	// the median candidates: at threshold 0 its median alone selects
+	// the attribute.
+	s := math.SmallestNonzeroFloat64
+	nan := math.NaN()
+	vals := []float64{0, 0, 1, 0, 0, 0, s, s, s, nan, s, 0, 0, 0, 0, 0}
+	ts := make([]int64, len(vals))
+	for i := range ts {
+		ts[i] = int64(i)
+	}
+	ds := metrics.MustNewDataset(ts)
+	if err := ds.AddNumeric("x", vals); err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.Tau = 3
+	p.PotentialThreshold = 0
+	if want := Detect(ds, p); len(want.SelectedAttrs) != 1 {
+		t.Fatalf("batch selected %v; the case no longer exercises the rounding edge", want.SelectedAttrs)
+	}
+	if ticks := driveStream(t, ds, p, 600, 2, 2, 1); ticks == 0 {
+		t.Fatal("no detection ticks ran")
+	}
+}
+
 func TestStreamEmpty(t *testing.T) {
 	s := NewStream(DefaultParams(), 600, 1)
 	res := s.Detect()
@@ -213,39 +243,102 @@ func TestStreamResultAliasing(t *testing.T) {
 	requireSameResult(t, "repeat", second, want)
 }
 
+// buildHealthyTrace is an anomaly-free simulator trace: the shape a
+// fleet instance streams most of the time.
+func buildHealthyTrace(seed int64, rows int) *metrics.Dataset {
+	cfg := workload.DefaultConfig()
+	cfg.Seed = seed
+	ds, err := collector.Align(workload.NewSimulator(cfg).Run(1000, rows, nil))
+	if err != nil {
+		panic(err)
+	}
+	return ds
+}
+
+// chunks splits rows [from, ds.Rows()) of ds into standalone datasets of
+// size rows each (the last may be shorter).
+func chunks(ds *metrics.Dataset, from, size int) []*metrics.Dataset {
+	var out []*metrics.Dataset
+	for lo := from; lo < ds.Rows(); lo += size {
+		out = append(out, windowSlice(ds, lo, min(lo+size, ds.Rows())))
+	}
+	return out
+}
+
+// filledStream returns a 600-row workers=1 stream prefilled with ds's
+// first 600 rows.
+func filledStream(ds *metrics.Dataset) *Stream {
+	s := NewStream(DefaultParams(), 600, 1)
+	s.Append(windowSlice(ds, 0, 600))
+	return s
+}
+
+// maxTickAllocs is the steady-state allocation budget of one healthy
+// 30-row Append+Detect tick into a full 600-row window at workers=1.
+// Measured: 2, both the per-attribute fan-out closures of core.ForEach;
+// the incremental state allocates nothing once its deques and the
+// dbscan pools have reached their working size. (The normalized-cache
+// design this replaced averaged 5: its deques were resliced from the
+// front, so appends kept reallocating them.)
+const maxTickAllocs = 2
+
+func TestStreamTickAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are nondeterministic under -race (sync.Pool drops items)")
+	}
+	ds := buildHealthyTrace(31, 600+30*64)
+	s := filledStream(ds)
+	in := chunks(ds, 600, 30)
+	i := 0
+	tick := func() {
+		s.Append(in[i%len(in)])
+		i++
+		s.Detect()
+	}
+	// Let every per-attribute buffer and the dbscan pools reach their
+	// working size first.
+	for j := 0; j < 128; j++ {
+		tick()
+	}
+	if got := testing.AllocsPerRun(50, tick); got > maxTickAllocs {
+		t.Fatalf("steady-state tick allocates %.1f times, budget %d", got, maxTickAllocs)
+	}
+}
+
 func BenchmarkDetectTickStream(b *testing.B) {
-	// The streaming monitor cost per tick: one appended row of state
-	// advance plus an incremental Detect over the same 600-row window
-	// BenchmarkDetectTickNaive snapshots.
-	ds := buildStreamTrace(29, 900)
-	p := DefaultParams()
-	prefix := windowSlice(ds, 0, 600)
-	rows := make([]*metrics.Dataset, 0, 300)
-	for r := 600; r < ds.Rows(); r++ {
-		rows = append(rows, windowSlice(ds, r, r+1))
-	}
-	newFilled := func() *Stream {
-		s := NewStream(p, 600, 1)
-		s.Append(prefix)
-		return s
-	}
-	s := newFilled()
+	b.Run("chunk=1", func(b *testing.B) {
+		// One appended row of state advance plus an incremental Detect
+		// over the same mid-anomaly 600-row window
+		// BenchmarkDetectTickNaive snapshots.
+		ds := buildStreamTrace(29, 900)
+		benchTicks(b, ds, chunks(ds, 600, 1))
+	})
+	b.Run("chunk=30-healthy", func(b *testing.B) {
+		// The ingest plane's default tick: 30 appended healthy rows,
+		// then Detect over the full 600-row window.
+		ds := buildHealthyTrace(29, 600+30*60)
+		benchTicks(b, ds, chunks(ds, 600, 30))
+	})
+}
+
+// benchTicks times Append+Detect of each chunk in turn into a stream
+// prefilled with ds's first 600 rows, refilling outside the timed
+// region when the chunks run out.
+func benchTicks(b *testing.B, ds *metrics.Dataset, in []*metrics.Dataset) {
+	s := filledStream(ds)
 	idx := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if idx == len(rows) {
-			// The pregenerated trace is exhausted; restart outside the
-			// timed region.
+		if idx == len(in) {
 			b.StopTimer()
-			s = newFilled()
+			s = filledStream(ds)
 			idx = 0
 			b.StartTimer()
 		}
-		s.Append(rows[idx])
+		s.Append(in[idx])
 		idx++
-		res := s.Detect()
-		if res.Abnormal == nil {
+		if res := s.Detect(); res.Abnormal == nil {
 			b.Fatal("no result")
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -382,13 +383,24 @@ func (r *Registry) enqueue(inst *instance, ds *metrics.Dataset) (drainer bool, e
 // drain processes the instance's queue to empty, then releases the
 // drain token. Exactly one goroutine runs it per instance at a time.
 // The first append error is returned (later chunks still drain, so the
-// queue cannot wedge behind one bad chunk).
+// queue cannot wedge behind one bad chunk). A panic in a chunk's
+// detection is isolated by appendChunk; should anything else panic,
+// the deferred release still frees the token so the next push drains.
 func (r *Registry) drain(inst *instance) error {
+	held := true
+	defer func() {
+		if held {
+			inst.mu.Lock()
+			inst.draining = false
+			inst.mu.Unlock()
+		}
+	}()
 	var firstErr error
 	for {
 		inst.mu.Lock()
 		if len(inst.queue) == 0 {
 			inst.draining = false
+			held = false
 			inst.mu.Unlock()
 			return firstErr
 		}
@@ -398,7 +410,7 @@ func (r *Registry) drain(inst *instance) error {
 		inst.queuedRows -= ds.Rows()
 		inst.mu.Unlock()
 
-		if err := r.append(inst, ds); err != nil {
+		if err := r.appendChunk(inst, ds); err != nil {
 			r.m.appendErrors.Inc()
 			msg := err.Error()
 			inst.lastError.Store(&msg)
@@ -410,6 +422,35 @@ func (r *Registry) drain(inst *instance) error {
 			}
 		}
 	}
+}
+
+// appendChunk is append with the panic reported as an error: the
+// instance's detection state, which the panic may have left half
+// updated, is reset so its window restarts from the next chunk.
+func (r *Registry) appendChunk(inst *instance, ds *metrics.Dataset) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			inst.resetDetection()
+			r.m.panics.Inc()
+			r.cfg.Logger.Error("ingest: detection panicked; window reset",
+				"tenant", inst.tenant, "instance", inst.name, "panic", p, "stack", string(debug.Stack()))
+			err = fmt.Errorf("ingest: detection panicked: %v", p)
+		}
+	}()
+	return r.append(inst, ds)
+}
+
+// resetDetection drops the instance's window so the next chunk starts
+// a fresh stream. The alert dedup span is kept: it is in timestamps,
+// so it still suppresses a repeat of an alert already raised.
+func (inst *instance) resetDetection() {
+	inst.attrs = nil
+	inst.stream = nil
+	inst.times = nil
+	inst.total = 0
+	inst.lastTs = 0
+	inst.sinceCheck = 0
+	inst.windowRows.Store(0)
 }
 
 // append advances one instance's detection state by one chunk. Called
@@ -654,6 +695,7 @@ type instruments struct {
 	rows          *obs.Counter
 	shed          *obs.Counter
 	appendErrors  *obs.Counter
+	panics        *obs.Counter
 	alerts        *obs.Counter
 	alertsDropped *obs.Counter
 	stale         *obs.Counter
@@ -674,6 +716,8 @@ func (m *instruments) init(reg *obs.Registry) {
 		"Ingest appends shed by backpressure (queue over budget or instance cap).").With()
 	m.appendErrors = reg.NewCounterFamily("dbsherlock_ingest_append_errors_total",
 		"Ingest chunks rejected after queueing (schema mismatch, non-monotonic timestamps).").With()
+	m.panics = reg.NewCounterFamily("dbsherlock_ingest_panics_total",
+		"Ingest chunks whose detection panicked; the instance's window was reset.").With()
 	m.alerts = reg.NewCounterFamily("dbsherlock_ingest_alerts_total",
 		"Anomaly alerts raised by per-instance streaming detection.").With()
 	m.alertsDropped = reg.NewCounterFamily("dbsherlock_ingest_alerts_dropped_total",

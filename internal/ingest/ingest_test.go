@@ -3,6 +3,7 @@ package ingest
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -163,6 +164,47 @@ func TestIngestRejectsBadChunks(t *testing.T) {
 	}
 	if got := r.List("t")[0].Rows; got != 25 {
 		t.Fatalf("rows = %d, want 25", got)
+	}
+}
+
+func TestIngestRecoversFromDetectionPanic(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := New(Config{WindowRows: 100, MaxQueuedRows: 30, Registry: reg})
+	defer r.Close()
+
+	if err := r.Ingest("t", "db", flatChunk(1000, 20)); err != nil {
+		t.Fatal(err)
+	}
+	// Corrupt the drainer-owned detection state so the next append
+	// panics inside detect.Stream.
+	inst, err := r.instanceFor("t", "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.stream = nil
+
+	err = r.Ingest("t", "db", flatChunk(1020, 20))
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("panicking append returned %v, want the panic as an error", err)
+	}
+	if got := r.m.panics.Value(); got != 1 {
+		t.Fatalf("panic counter = %d, want 1", got)
+	}
+	st := r.List("t")[0]
+	if !strings.Contains(st.LastError, "panicked") || st.WindowRows != 0 {
+		t.Fatalf("status after panic = %+v, want the panic recorded and the window reset", st)
+	}
+
+	// The drain token was released: the next push is drained into a
+	// fresh window, not queued behind a dead drainer until it is shed.
+	for i := 0; i < 3; i++ {
+		if err := r.Ingest("t", "db", flatChunk(int64(1040+20*i), 20)); err != nil {
+			t.Fatalf("push %d after the panic: %v", i, err)
+		}
+	}
+	st = r.List("t")[0]
+	if st.QueuedRows != 0 || st.WindowRows != 60 || st.Rows != 80 {
+		t.Fatalf("status after recovery = %+v, want 60 window rows, 80 accepted, none queued", st)
 	}
 }
 

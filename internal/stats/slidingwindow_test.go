@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -64,6 +65,43 @@ func TestSlidingWindowMediansMatchesNaive(t *testing.T) {
 					t.Fatalf("case %d tau %d window %d: got %v, want %v", ci, tau, i, got[i], want[i])
 				}
 			}
+		}
+	}
+}
+
+func TestShiftSortedMatchesRemoveInsert(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	draw := func() float64 {
+		switch rng.Intn(8) {
+		case 0:
+			return math.NaN()
+		case 1:
+			return math.Inf(2*rng.Intn(2) - 1)
+		default:
+			return float64(rng.Intn(6)) // duplicates
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		var s []float64
+		for n := rng.Intn(12); len(s) < n; {
+			if x := draw(); !math.IsNaN(x) {
+				s = InsertSorted(s, x)
+			}
+		}
+		out, in := math.NaN(), draw()
+		if len(s) > 0 && rng.Intn(4) > 0 {
+			out = s[rng.Intn(len(s))]
+		}
+		want := append([]float64(nil), s...)
+		if !math.IsNaN(out) {
+			want = RemoveSorted(want, out)
+		}
+		if !math.IsNaN(in) {
+			want = InsertSorted(want, in)
+		}
+		got := ShiftSorted(append([]float64(nil), s...), out, in)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("ShiftSorted(%v, %v, %v) = %v, want %v", s, out, in, got, want)
 		}
 	}
 }

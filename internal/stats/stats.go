@@ -172,12 +172,7 @@ func SlidingWindowMedians(xs []float64, tau int) []float64 {
 	}
 	out = append(out, MedianSorted(win))
 	for w := 1; w+tau <= len(xs); w++ {
-		if x := xs[w-1]; !math.IsNaN(x) {
-			win = RemoveSorted(win, x)
-		}
-		if x := xs[w+tau-1]; !math.IsNaN(x) {
-			win = InsertSorted(win, x)
-		}
+		win = ShiftSorted(win, xs[w-1], xs[w+tau-1])
 		out = append(out, MedianSorted(win))
 	}
 	return out
@@ -192,6 +187,43 @@ func InsertSorted(s []float64, x float64) []float64 {
 	s = append(s, 0)
 	copy(s[i+1:], s[i:])
 	s[i] = x
+	return s
+}
+
+// ShiftSorted slides a sorted window by one position: it removes one
+// occurrence of out from sorted s and inserts in, where a NaN out or in
+// stands for a value that never entered the window. When both are
+// present, only the elements between their positions move, in one pass
+// without a search closure, instead of a RemoveSorted and an
+// InsertSorted each shifting the tail.
+func ShiftSorted(s []float64, out, in float64) []float64 {
+	switch {
+	case math.IsNaN(out) && math.IsNaN(in):
+		return s
+	case math.IsNaN(out):
+		return InsertSorted(s, in)
+	case math.IsNaN(in):
+		return RemoveSorted(s, out)
+	}
+	lo, hi := 0, len(s) // binary search for the first s[i] >= out
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); s[m] < out {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	i := lo
+	if in > out {
+		for ; i+1 < len(s) && s[i+1] < in; i++ {
+			s[i] = s[i+1]
+		}
+	} else {
+		for ; i > 0 && s[i-1] > in; i-- {
+			s[i] = s[i-1]
+		}
+	}
+	s[i] = in
 	return s
 }
 
