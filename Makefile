@@ -45,7 +45,7 @@ race:
 	$(GO) test -race ./...
 
 # Allocation-budget regression gates for the diagnosis hot path and the
-# streaming detection tick. Runs
+# streaming detection tick, healthy and clustered. Runs
 # without -race on purpose: sync.Pool drops items at random under the
 # detector, which makes allocs/op nondeterministic (the -race run above
 # skips these tests for the same reason). -v so the gate's benchstat-style
@@ -54,7 +54,7 @@ race:
 # test output.
 alloc-gate:
 	$(GO) test -v -run TestExplainAllocCeiling .
-	$(GO) test -v -run TestStreamTickAllocs ./internal/detect/
+	$(GO) test -v -run 'TestStreamTickAllocs|TestStreamClusteredTickAllocs' ./internal/detect/
 
 # Metric-naming contract: every registered family must carry the
 # dbsherlock_ namespace, _total on counters, a unit suffix on
@@ -84,16 +84,20 @@ soak:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./...
 
-# Short fuzz campaigns over the CSV parser, the model-merge rule, the
-# region iterator round-trip, grid vs naive DBSCAN, streaming vs batch
-# detection, the store's on-disk decoders, and the Prometheus
+# Short fuzz campaigns over the CSV parser and the streaming CSV/NDJSON
+# ingest decoders, the model-merge rule, the region iterator round-trip,
+# grid vs naive DBSCAN, the shared k-dist/DBSCAN distance pass,
+# streaming vs batch detection, the store's on-disk decoders, and the Prometheus
 # exposition writer.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadCSV -fuzztime=10s ./internal/collector/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamCSV -fuzztime=10s ./internal/collector/
+	$(GO) test -run='^$$' -fuzz=FuzzStreamNDJSON -fuzztime=10s ./internal/collector/
 	$(GO) test -run='^$$' -fuzz=FuzzMergePredicates -fuzztime=10s ./internal/causal/
 	$(GO) test -run='^$$' -fuzz=FuzzMergeCategorical -fuzztime=10s ./internal/causal/
 	$(GO) test -run='^$$' -fuzz=FuzzRegionRoundTrip -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz=FuzzGridClusterEquivalence -fuzztime=10s ./internal/dbscan/
+	$(GO) test -run='^$$' -fuzz=FuzzIndexSharedPass -fuzztime=10s ./internal/dbscan/
 	$(GO) test -run='^$$' -fuzz=FuzzStreamMatchesBatch -fuzztime=10s ./internal/detect/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/store/
 	$(GO) test -run='^$$' -fuzz=FuzzSnapshotDecode -fuzztime=10s ./internal/store/
@@ -122,13 +126,15 @@ bench-alloc:
 	$(GO) test -bench BenchmarkSlidingWindowMedians -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/stats/
 
 # Regenerate the numbers behind BENCH_detect.json (per-tick monitoring
-# cost, naive snapshot+Detect vs the streaming path, and the DBSCAN
-# grid-index stress shapes; commit the medians across the 5
-# repetitions). The O(n^2) reference at n=20000 takes ~40 s per
+# cost, naive snapshot+Detect vs the streaming path, the DBSCAN
+# grid-index stress shapes, and the incident-shaped grid-less pipeline
+# at n=600, d=12: reference vs two passes vs one shared distance pass;
+# commit the medians across the 5 repetitions). The O(n^2) reference at n=20000 takes ~40 s per
 # iteration and only runs with DBSHERLOCK_BENCH_FULL=1.
 bench-detect:
 	$(GO) test -bench BenchmarkDetectTick -benchtime=50x -count=5 -benchmem -run='^$$' ./internal/detect/
 	$(GO) test -bench 'BenchmarkCluster(Naive|Indexed)' -benchtime=100x -count=5 -benchmem -run='^$$' ./internal/dbscan/
+	$(GO) test -bench BenchmarkIncidentPipeline -benchtime=20x -count=5 -benchmem -run='^$$' ./internal/dbscan/
 	DBSHERLOCK_BENCH_FULL=$(DBSHERLOCK_BENCH_FULL) $(GO) test -bench BenchmarkPipelineStress -benchtime=3x -count=5 -benchmem -timeout=90m -run='^$$' ./internal/dbscan/
 
 # Regenerate the numbers behind BENCH_lifecycle.json: end-to-end

@@ -59,6 +59,7 @@ type csvDecoder struct {
 	names []string
 	cat   []bool
 	row   int
+	last  int64 // the previous row's timestamp
 }
 
 func newCSVDecoder(r io.Reader) (*csvDecoder, error) {
@@ -105,6 +106,12 @@ func (d *csvDecoder) next(b *chunkBuilder) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("collector: csv row %d timestamp: %w", d.row, err)
 	}
+	// Checked across the whole stream, not only within a chunk, so
+	// StreamCSV rejects what ReadCSV rejects.
+	if d.row > 0 && t <= d.last {
+		return false, fmt.Errorf("collector: csv row %d: timestamp %d not after %d", d.row, t, d.last)
+	}
+	d.last = t
 	b.ts = append(b.ts, t)
 	for c := range d.names {
 		f := rec[c+1]

@@ -117,12 +117,16 @@ func StreamCSV(r io.Reader, chunkRows int, fn func(*metrics.Dataset) error) erro
 			}
 		}
 	}
-	if b.rows() > 0 {
+	if b.rows() > 0 || dec.row == 0 {
+		// A body with no rows still builds its empty chunk, so a bad
+		// header fails here as it does in ReadCSV; the chunk is not sent.
 		ds, err := b.flush()
 		if err != nil {
 			return fmt.Errorf("collector: %w", err)
 		}
-		return fn(ds)
+		if ds.Rows() > 0 {
+			return fn(ds)
+		}
 	}
 	return nil
 }

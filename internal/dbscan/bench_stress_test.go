@@ -54,3 +54,41 @@ func BenchmarkPipelineStress(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkIncidentPipeline is the streaming detector's clustered tick
+// in the shape an incident produces: a 600-row window clustered in 12
+// selected attributes, past the grid's dimensionality cutoff. reference
+// is the naive KDist + refCluster; two-pass runs KDistInto then
+// ClusterInto, each with its own Index; shared runs both stages on one
+// Index, as detect.Stream does, so the distances are computed once.
+func BenchmarkIncidentPipeline(b *testing.B) {
+	const n, d, k = 600, 12, 3
+	pts := genPoints(rand.New(rand.NewSource(600)), n, d)
+	epsOf := func(lk []float64) float64 { return max(lk[len(lk)-1]/4, 1.5*lk[len(lk)/2]) }
+	b.Run("reference", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			refCluster(pts, epsOf(KDist(pts, k)), k)
+		}
+	})
+	b.Run("two-pass", func(b *testing.B) {
+		var lk []float64
+		var labels []int
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lk = KDistInto(lk, pts, k)
+			labels = ClusterInto(labels, pts, epsOf(lk), k)
+		}
+	})
+	b.Run("shared", func(b *testing.B) {
+		var lk []float64
+		var labels []int
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ix := NewIndex(pts)
+			lk = ix.KDist(lk, k)
+			labels = ix.Cluster(labels, epsOf(lk), k)
+			ix.Release()
+		}
+	})
+}

@@ -77,75 +77,13 @@ func KDistIndexed(points []Point, k int) []float64 {
 }
 
 // KDistInto is KDistIndexed writing into dst (grown as needed), so a
-// caller running detection every tick can reuse one buffer.
+// caller running detection every tick can reuse one buffer. A caller
+// that clusters the same points next should use one Index for both, so
+// the grid-less path computes the pairwise distances once.
 func KDistInto(dst []float64, points []Point, k int) []float64 {
-	if len(points) == 0 || k <= 0 {
-		return nil
-	}
-	if cap(dst) < len(points) {
-		dst = make([]float64, len(points))
-	}
-	dst = dst[:len(points)]
-	sc := clusterPool.Get().(*clusterScratch)
-	defer clusterPool.Put(sc)
-	if !gridUsable(len(points), len(points[0])) {
-		return kdistAllNaive(dst, points, k, &sc.kd)
-	}
-	cell, ok := kdCell(points, k)
-	if !ok {
-		if allIdentical(points) {
-			// Every pairwise distance is zero, so every k-dist is zero.
-			for i := range dst {
-				dst[i] = 0
-			}
-			return dst
-		}
-		return kdistAllNaive(dst, points, k, &sc.kd)
-	}
-	g := getGrid()
-	defer putGrid(g)
-	if !g.build(points, cell) {
-		return kdistAllNaive(dst, points, k, &sc.kd)
-	}
-	for i := range points {
-		dst[i] = g.kdist(points, i, k, &sc.kd)
-	}
-	sort.Float64s(dst)
-	return dst
-}
-
-// kdistAllNaive fills dst with the naive O(n²) k-dist list.
-func kdistAllNaive(dst []float64, points []Point, k int, sc *kdScratch) []float64 {
-	for i := range points {
-		dst[i] = kdistScan(points, i, k, sc)
-	}
-	sort.Float64s(dst)
-	return dst
-}
-
-// kdistScan is points[i]'s k-dist by a scan over all points that keeps
-// only the k smallest distances (insertBest) instead of sorting all
-// n-1. Distances are never -0, so for non-NaN inputs the k-th value is
-// bitwise the one a full sort yields. sort.Float64s orders NaN first
-// and not stably, so a NaN distance sends the point to kdistSorted.
-func kdistScan(points []Point, i, k int, sc *kdScratch) float64 {
-	best := sc.best[:0]
-	for j := range points {
-		if j == i {
-			continue
-		}
-		d := Distance(points[i], points[j])
-		if math.IsNaN(d) {
-			sc.best = best
-			return kdistSorted(points, i, k, sc)
-		}
-		best = insertBest(best, d, k)
-	}
-	sc.best = best
-	if len(best) == 0 {
-		return 0
-	}
-	return best[min(k, len(best))-1]
+	ix := NewIndex(points)
+	defer ix.Release()
+	return ix.KDist(dst, k)
 }
 
 // kdistSorted is points[i]'s k-dist by fully sorting its distances: the
@@ -171,10 +109,11 @@ func kdistSorted(points []Point, i, k int, sc *kdScratch) float64 {
 //
 // Neighbour queries go through a uniform-grid index with cell size eps
 // when the point set supports it (low dimensionality, finite
-// coordinates, enough points to amortize the build); otherwise the
-// naive O(n²) scan is used. Both paths produce identical labels —
-// the grid returns neighbour lists in the same ascending order the
-// naive scan does, and golden + fuzz tests pin the equivalence.
+// coordinates, enough points to amortize the build); otherwise they
+// read rows of the pairwise-distance matrix (see Index). Both paths
+// produce identical labels — each returns neighbour lists in the same
+// ascending order the naive scan does, and golden + fuzz tests pin the
+// equivalence.
 func Cluster(points []Point, eps float64, minPts int) []int {
 	return ClusterInto(nil, points, eps, minPts)
 }
@@ -182,82 +121,9 @@ func Cluster(points []Point, eps float64, minPts int) []int {
 // ClusterInto is Cluster writing labels into dst (grown as needed), so
 // a caller running detection every tick can reuse one buffer.
 func ClusterInto(dst []int, points []Point, eps float64, minPts int) []int {
-	const unvisited = -2
-	if cap(dst) < len(points) || dst == nil {
-		dst = make([]int, len(points))
-	}
-	labels := dst[:len(points)]
-	for i := range labels {
-		labels[i] = unvisited
-	}
-	if len(points) == 0 {
-		return labels
-	}
-
-	sc := clusterPool.Get().(*clusterScratch)
-	defer clusterPool.Put(sc)
-
-	var g *grid
-	if gridUsable(len(points), len(points[0])) {
-		cg := getGrid()
-		if cg.build(points, eps) {
-			cg.buildOffsets()
-			g = cg
-		}
-		defer putGrid(cg)
-	}
-	// neighbours appends the indices within eps of point i (including i)
-	// in ascending order, identically on both paths.
-	neighbours := func(i int, out []int32) []int32 {
-		if g != nil {
-			return g.neighbours(points, i, eps, out)
-		}
-		for j := range points {
-			if Distance(points[i], points[j]) <= eps {
-				out = append(out, int32(j))
-			}
-		}
-		return out
-	}
-	next := 0
-	for i := range points {
-		if labels[i] != unvisited {
-			continue
-		}
-		sc.nbr = neighbours(i, sc.nbr[:0])
-		if len(sc.nbr) < minPts {
-			labels[i] = Noise
-			continue
-		}
-		id := next
-		next++
-		labels[i] = id
-		seeds := append(sc.seeds[:0], sc.nbr...)
-		// Expand the cluster over density-reachable points.
-		for q := 0; q < len(seeds); q++ {
-			j := seeds[q]
-			if labels[j] == Noise {
-				labels[j] = id // border point
-			}
-			if labels[j] != unvisited {
-				continue
-			}
-			labels[j] = id
-			sc.nbr = neighbours(int(j), sc.nbr[:0])
-			if len(sc.nbr) >= minPts {
-				seeds = append(seeds, sc.nbr...)
-			}
-		}
-		sc.seeds = seeds
-	}
-	// Normalize any remaining unvisited (unreachable) to noise; cannot
-	// happen with the loop above but keeps the invariant explicit.
-	for i, l := range labels {
-		if l == unvisited {
-			labels[i] = Noise
-		}
-	}
-	return labels
+	ix := NewIndex(points)
+	defer ix.Release()
+	return ix.Cluster(dst, eps, minPts)
 }
 
 // Sizes returns the number of points in each cluster id (noise

@@ -260,7 +260,7 @@ func (g *grid) kdist(points []Point, i, k int, sc *kdScratch) float64 {
 		for {
 			work++
 			if work > budget {
-				return kdistScan(points, i, k, sc)
+				return sc.scan(points, i, k)
 			}
 			shell := r == 0
 			for j := 0; j < g.dims; j++ {
@@ -277,7 +277,7 @@ func (g *grid) kdist(points []Point, i, k int, sc *kdScratch) float64 {
 				if s, ok := g.span[key]; ok {
 					work += int(s.n)
 					if work > budget {
-						return kdistScan(points, i, k, sc)
+						return sc.scan(points, i, k)
 					}
 					for _, j := range g.idx[s.start : s.start+s.n] {
 						if int(j) == i {
@@ -399,6 +399,16 @@ func allIdentical(points []Point) bool {
 type kdScratch struct {
 	best  []float64
 	dists []float64
+	row   []float64
+}
+
+// scan is point i's k-dist by a scan over all points: the fallback of a
+// grid search that overran its budget.
+func (sc *kdScratch) scan(points []Point, i, k int) float64 {
+	if cap(sc.row) < len(points) {
+		sc.row = make([]float64, len(points))
+	}
+	return kdistRow(points, distRow(sc.row, points, i), i, k, sc)
 }
 
 // clusterScratch holds the per-call buffers of the indexed Cluster.

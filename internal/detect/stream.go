@@ -364,7 +364,12 @@ func (s *Stream) Detect() Result {
 		pts[i] = flat[i*d : (i+1)*d]
 	}
 
-	s.lk = dbscan.KDistInto(s.lk, pts, s.p.MinPts)
+	// One Index for both stages: on the grid-less path (more than ~5
+	// selected attributes at window scale) k-dist and DBSCAN read the
+	// same pairwise distances, computed once.
+	ix := dbscan.NewIndex(pts)
+	defer ix.Release()
+	s.lk = ix.KDist(s.lk, s.p.MinPts)
 	eps := s.lk[rows-1] / 4
 	if floor := 1.5 * s.lk[rows/2]; floor > eps {
 		eps = floor
@@ -374,7 +379,7 @@ func (s *Stream) Detect() Result {
 	}
 	res.Epsilon = eps
 
-	s.labels = dbscan.ClusterInto(s.labels, pts, eps, s.p.MinPts)
+	s.labels = ix.Cluster(s.labels, eps, s.p.MinPts)
 	// Dense cluster sizes instead of dbscan.Sizes' map: no per-tick
 	// allocation, same counts.
 	s.sizes = s.sizes[:0]

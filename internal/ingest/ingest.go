@@ -45,6 +45,10 @@ var (
 	// refuses to register new streams (429 upstream: the fleet is
 	// oversubscribed, existing streams keep working).
 	ErrTooManyInstances = errors.New("ingest: instance cap reached")
+	// ErrDetectionPanic means a chunk's detection panicked and the
+	// instance's window was reset: a server fault, not a bad request
+	// (500 upstream).
+	ErrDetectionPanic = errors.New("ingest: detection panicked")
 	// errClosed is an internal retry signal: the looked-up instance was
 	// evicted between lookup and enqueue.
 	errClosed = errors.New("ingest: instance evicted")
@@ -434,7 +438,7 @@ func (r *Registry) appendChunk(inst *instance, ds *metrics.Dataset) (err error) 
 			r.m.panics.Inc()
 			r.cfg.Logger.Error("ingest: detection panicked; window reset",
 				"tenant", inst.tenant, "instance", inst.name, "panic", p, "stack", string(debug.Stack()))
-			err = fmt.Errorf("ingest: detection panicked: %v", p)
+			err = fmt.Errorf("%w: %v", ErrDetectionPanic, p)
 		}
 	}()
 	return r.append(inst, ds)

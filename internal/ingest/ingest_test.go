@@ -543,3 +543,22 @@ func TestRegistryChurnUnderRace(t *testing.T) {
 		t.Fatalf("instances after revival = %d, want 1", got)
 	}
 }
+
+// TestIngestDetectionPanicSentinel pins that a recovered detection panic
+// reaches the caller as ErrDetectionPanic, which the HTTP layer answers
+// with 500 rather than the 400 of a bad chunk.
+func TestIngestDetectionPanicSentinel(t *testing.T) {
+	r := New(Config{WindowRows: 100, MaxQueuedRows: 30, Registry: obs.NewRegistry()})
+	defer r.Close()
+	if err := r.Ingest("t", "db", flatChunk(1000, 20)); err != nil {
+		t.Fatal(err)
+	}
+	inst, err := r.instanceFor("t", "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.stream = nil // the next append panics inside detect.Stream
+	if err := r.Ingest("t", "db", flatChunk(1020, 20)); !errors.Is(err, ErrDetectionPanic) {
+		t.Fatalf("panicking append returned %v, want ErrDetectionPanic", err)
+	}
+}

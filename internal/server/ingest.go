@@ -64,24 +64,33 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return nil
 	})
 	if err != nil {
-		switch {
-		case errors.Is(err, ingest.ErrShed), errors.Is(err, ingest.ErrTooManyInstances):
-			writeOverloaded(w, r, s.retryAfterHint(), err)
-		default:
-			var tooLarge *http.MaxBytesError
-			if errors.As(err, &tooLarge) {
-				writeError(w, r, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
-					fmt.Errorf("body exceeds %d bytes", s.maxUpload))
-				return
-			}
-			// Decode or append failure mid-stream: chunks before it are
-			// already in the window (the message says how far we got).
-			writeError(w, r, http.StatusBadRequest, CodeInvalidRequest,
-				fmt.Errorf("%w (accepted %d rows before the error)", err, rows))
-		}
+		s.writeIngestError(w, r, err, rows)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, ingestResponse{Instance: instance, Rows: rows, Chunks: chunks})
+}
+
+// writeIngestError answers a push that failed after accepting rows
+// rows: 429 when the instance or the fleet is over budget, 413 for an
+// oversized body, 500 when detection panicked (a server fault: the
+// instance's window was reset), and 400 for a decode or append failure.
+func (s *Server) writeIngestError(w http.ResponseWriter, r *http.Request, err error, rows int) {
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.Is(err, ingest.ErrShed), errors.Is(err, ingest.ErrTooManyInstances):
+		writeOverloaded(w, r, s.retryAfterHint(), err)
+	case errors.As(err, &tooLarge):
+		writeError(w, r, http.StatusRequestEntityTooLarge, CodePayloadTooLarge,
+			fmt.Errorf("body exceeds %d bytes", s.maxUpload))
+	case errors.Is(err, ingest.ErrDetectionPanic):
+		writeError(w, r, http.StatusInternalServerError, CodeInternal,
+			fmt.Errorf("%w (accepted %d rows before the error)", err, rows))
+	default:
+		// Decode or append failure mid-stream: chunks before it are
+		// already in the window (the message says how far we got).
+		writeError(w, r, http.StatusBadRequest, CodeInvalidRequest,
+			fmt.Errorf("%w (accepted %d rows before the error)", err, rows))
+	}
 }
 
 // ingestDecoder picks the streaming decoder for the push body's

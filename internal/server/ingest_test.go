@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -349,5 +350,37 @@ func TestStatusEndpointInventory(t *testing.T) {
 	}
 	if !seen["POST /v1/ingest/{instance}"].TenantScoped {
 		t.Error("ingest route not marked tenant-scoped")
+	}
+}
+
+// TestIngestErrorMapping pins how a failed push is answered: a
+// recovered detection panic is a server fault (500 internal), not a
+// schema error, while decode failures stay 400 and back-pressure 429.
+func TestIngestErrorMapping(t *testing.T) {
+	_, srv := newTestServer(t)
+	cases := []struct {
+		name   string
+		err    error
+		status int
+		code   ErrorCode
+	}{
+		{"detection panic", fmt.Errorf("%w: index out of range", ingest.ErrDetectionPanic), http.StatusInternalServerError, CodeInternal},
+		{"shed", ingest.ErrShed, http.StatusTooManyRequests, CodeOverloaded},
+		{"instance cap", ingest.ErrTooManyInstances, http.StatusTooManyRequests, CodeOverloaded},
+		{"body too large", fmt.Errorf("collector: %w", &http.MaxBytesError{Limit: 1}), http.StatusRequestEntityTooLarge, CodePayloadTooLarge},
+		{"decode", errors.New("collector: line 3: bad value"), http.StatusBadRequest, CodeInvalidRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			srv.writeIngestError(rec, httptest.NewRequest(http.MethodPost, "/v1/ingest/db", nil), tc.err, 30)
+			var e errorResponse
+			if err := json.NewDecoder(rec.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != tc.status || e.Error.Code != tc.code {
+				t.Fatalf("answered %d %q, want %d %q", rec.Code, e.Error.Code, tc.status, tc.code)
+			}
+		})
 	}
 }
