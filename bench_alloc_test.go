@@ -1,5 +1,5 @@
 // Benchmarks and regression gates for the zero-allocation diagnosis hot
-// path: the full Explain pipeline (Algorithm 1 over ~116 attributes plus
+// path: the full Diagnose pipeline (Algorithm 1 over ~116 attributes plus
 // Equation 3 ranking of ten learned causal models) must stay within a
 // pinned allocation ceiling per call. The committed baseline lives in
 // BENCH_alloc.json; regenerate it with `make bench-alloc`.
@@ -17,6 +17,7 @@
 package dbsherlock_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -24,11 +25,12 @@ import (
 	"dbsherlock"
 )
 
-// explainAllocCeiling is the enforced per-Explain allocation budget on
+// explainAllocCeiling is the enforced per-Diagnose allocation budget on
 // the small synthetic trace with ten causal models loaded, sequential
 // path. The seed pipeline performed ~3,425 allocs/op; the scratch-arena
 // rewrite brought it to ~490, and the columnar-kernel/prepared-index
-// rewrite holds it there (~495) while roughly halving ns/op. The
+// rewrite holds it there (~495; 496 through Diagnose, which adds its
+// result struct) while roughly halving ns/op. The
 // ceiling leaves headroom for benign drift while still failing the gate
 // long before the old regime; when the measurement drifts within 10% of
 // it, the gate prints a benchstat-style note so the squeeze is visible
@@ -36,7 +38,7 @@ import (
 const explainAllocCeiling = 520
 
 // BenchmarkExplainAllocs measures ns/op and allocs/op of the full
-// Explain pipeline on both trace scales (see BENCH_alloc.json for the
+// Diagnose pipeline on both trace scales (see BENCH_alloc.json for the
 // committed before/after numbers).
 func BenchmarkExplainAllocs(b *testing.B) {
 	parallelSetup(b)
@@ -46,7 +48,7 @@ func BenchmarkExplainAllocs(b *testing.B) {
 		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := a.Explain(data.ds, data.abn, nil); err != nil {
+				if _, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -67,23 +69,23 @@ func TestExplainAllocCeiling(t *testing.T) {
 	// Warm once so the one-time prepared-index build (cached by dataset
 	// generation, shared across requests) doesn't smear into the
 	// steady-state per-request count.
-	if _, err := a.Explain(data.ds, data.abn, nil); err != nil {
+	if _, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn}); err != nil {
 		t.Fatal(err)
 	}
 	var err error
 	allocs := testing.AllocsPerRun(20, func() {
-		_, err = a.Explain(data.ds, data.abn, nil)
+		_, err = a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn})
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if allocs > explainAllocCeiling {
-		t.Errorf("Explain allocates %.0f objects per call, ceiling is %d", allocs, explainAllocCeiling)
+		t.Errorf("Diagnose allocates %.0f objects per call, ceiling is %d", allocs, explainAllocCeiling)
 	} else if allocs >= 0.9*explainAllocCeiling {
 		// Benchstat-style regression note, printed (not t.Logf, which -v
 		// alone surfaces) so `make ci` shows the squeeze while the gate
 		// still passes.
-		fmt.Printf("alloc-gate: Explain/small %.0f allocs/op vs ceiling %d (headroom %+.1f%%) — within 10%%, investigate drift before the gate trips\n",
+		fmt.Printf("alloc-gate: Diagnose/small %.0f allocs/op vs ceiling %d (headroom %+.1f%%) — within 10%%, investigate drift before the gate trips\n",
 			allocs, explainAllocCeiling, 100*(float64(explainAllocCeiling)-allocs)/allocs)
 	}
 }
@@ -101,16 +103,13 @@ func TestExplainGoldenAcrossWorkersAndTracing(t *testing.T) {
 			for _, traced := range []bool{false, true} {
 				name := fmt.Sprintf("%s/workers=%d/traced=%v", sc.name, workers, traced)
 				a := benchAnalyzer(t, workers, true)
-				var expl *dbsherlock.Explanation
-				var err error
-				if traced {
-					expl, err = a.ExplainTraced(data.ds, data.abn, nil)
-				} else {
-					expl, err = a.Explain(data.ds, data.abn, nil)
-				}
+				res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{
+					Dataset: data.ds, Abnormal: data.abn, Trace: traced,
+				})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
+				expl := res.Explanation
 				if traced && expl.Trace == nil {
 					t.Errorf("%s: traced run carries no snapshot", name)
 				}

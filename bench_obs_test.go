@@ -11,6 +11,7 @@
 package dbsherlock_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -33,9 +34,9 @@ func BenchmarkExplainTracing(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var err error
 					if traced {
-						_, err = a.ExplainTraced(data.ds, data.abn, nil)
+						_, err = a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn, Trace: true})
 					} else {
-						_, err = a.Explain(data.ds, data.abn, nil)
+						_, err = a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: data.ds, Abnormal: data.abn})
 					}
 					if err != nil {
 						b.Fatal(err)
@@ -78,14 +79,16 @@ func TestTracedExplainMatchesUntraced(t *testing.T) {
 		}
 	}
 
-	base, err := plain.Explain(ds, abn, nil)
+	plainRes, err := plain.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
-	instr, err := traced.Explain(ds, abn, nil)
+	base := plainRes.Explanation
+	tracedRes, err := traced.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
+	instr := tracedRes.Explanation
 
 	if base.Trace != nil {
 		t.Error("untraced analyzer attached a trace")

@@ -9,6 +9,7 @@ package dbsherlock_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -66,10 +67,11 @@ func TestAnalyzerConcurrentUse(t *testing.T) {
 
 	for g := 0; g < 4; g++ {
 		run("explain", func(int) error {
-			expl, err := a.Explain(ds, abn, nil)
+			res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 			if err != nil {
 				return err
 			}
+			expl := res.Explanation
 			if len(expl.Predicates) == 0 {
 				return fmt.Errorf("no predicates")
 			}
@@ -84,10 +86,11 @@ func TestAnalyzerConcurrentUse(t *testing.T) {
 	}
 	for g := 0; g < 2; g++ {
 		run("rankall", func(int) error {
-			ranked, err := a.RankAll(ds2, abn2, nil)
+			res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds2, Abnormal: abn2})
 			if err != nil {
 				return err
 			}
+			ranked := res.AllCauses
 			for i := 1; i < len(ranked); i++ {
 				if ranked[i].Confidence > ranked[i-1].Confidence {
 					return fmt.Errorf("rank order violated at %d", i)
@@ -158,10 +161,11 @@ func TestAnalyzerParallelExplainGolden(t *testing.T) {
 	if _, err := a.LearnCause("CPU Saturation", ds, abn, nil); err != nil {
 		t.Fatal(err)
 	}
-	golden, err := a.Explain(ds, abn, nil)
+	res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden := res.Explanation
 	goldenRepr := fmt.Sprintf("%+v", golden)
 
 	var wg sync.WaitGroup
@@ -170,11 +174,12 @@ func TestAnalyzerParallelExplainGolden(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			expl, err := a.Explain(ds, abn, nil)
+			res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 			if err != nil {
 				errs <- err
 				return
 			}
+			expl := res.Explanation
 			if repr := fmt.Sprintf("%+v", expl); repr != goldenRepr {
 				errs <- fmt.Errorf("explanation diverged:\n got %s\nwant %s", repr, goldenRepr)
 			}

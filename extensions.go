@@ -129,7 +129,7 @@ func (a *Analyzer) DetectUsingContext(ctx context.Context, ds *Dataset, d Detect
 
 // Streaming monitoring (the always-on counterpart of the interactive
 // workflow): feed collector output chunks into a Monitor and receive
-// alerts as anomalies develop; diagnose each alert with Explain.
+// alerts as anomalies develop; diagnose each alert with Diagnose.
 type (
 	// Monitor watches a statistics stream with a sliding window.
 	Monitor = monitor.Monitor

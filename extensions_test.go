@@ -2,6 +2,7 @@ package dbsherlock_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -35,10 +36,11 @@ func TestSaveLoadModelsThroughFacade(t *testing.T) {
 	}
 	// The loaded models diagnose a fresh anomaly of the same cause.
 	ds2, abn2 := simulateAnomaly(t, dbsherlock.LockContention, 22)
-	expl, err := fresh.Explain(ds2, abn2, nil)
+	res, err := fresh.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds2, Abnormal: abn2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	expl := res.Explanation
 	if len(expl.Causes) == 0 || expl.Causes[0].Cause != "Lock Contention" {
 		t.Errorf("loaded model failed to diagnose: %+v", expl.Causes)
 	}
@@ -71,10 +73,11 @@ func TestRecommendEndToEnd(t *testing.T) {
 	}
 
 	ds, abn := simulateAnomaly(t, dbsherlock.WorkloadSpike, 77)
-	expl, err := a.Explain(ds, abn, nil)
+	res, err := a.Diagnose(context.Background(), dbsherlock.DiagnoseRequest{Dataset: ds, Abnormal: abn})
 	if err != nil {
 		t.Fatal(err)
 	}
+	expl := res.Explanation
 	if len(expl.Causes) == 0 {
 		t.Fatal("no causes diagnosed")
 	}

@@ -149,6 +149,10 @@ func FuzzStreamNDJSON(f *testing.F) {
 	f.Add("{\"ts\":1,\"cpu\":0.5}\n{\"ts\":2,\"mem\":0.5}\n", uint8(0))         // field change
 	f.Add("{\"ts\":2,\"cpu\":0.5}\n{\"ts\":1,\"cpu\":0.5}\n", uint8(0))         // out of order
 	f.Add("{\"ts\":1e300,\"cpu\":1}\n{\"ts\":\"1\",\"cpu\":1}\n", uint8(2))     // odd timestamps
+	f.Add("{\"ts\":1.5,\"cpu\":1}\n", uint8(0))                                 // fractional timestamp
+	f.Add("{\"ts\":1e300,\"cpu\":1}\n", uint8(0))                               // above int64
+	f.Add("{\"ts\":-1e300,\"cpu\":1}\n", uint8(0))                              // below int64
+	f.Add("{\"ts\":9.3e18,\"cpu\":1}\n", uint8(0))                              // above int64
 	f.Add("{\"ts\":1}\n", uint8(0))                                             // no attributes
 	f.Add("{\"ts\":1,\"a\":1,\"a\":2}\n{\"ts\":2,\"a\":true}\n[1]\n", uint8(3)) // duplicate key, bool, array
 	f.Fuzz(func(t *testing.T, input string, chunk uint8) {

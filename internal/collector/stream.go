@@ -174,6 +174,11 @@ func StreamNDJSON(r io.Reader, chunkRows int, fn func(*metrics.Dataset) error) e
 		if !ok {
 			return fmt.Errorf("collector: ndjson line %d: %q must be a number", row, ndjsonTimeKey)
 		}
+		// int64(tsf) is only defined for integral values inside the int64
+		// range: 1.5 would truncate and 1e300 would wrap.
+		if tsf != math.Trunc(tsf) || tsf < math.MinInt64 || tsf >= math.MaxInt64 {
+			return fmt.Errorf("collector: ndjson line %d: %q must be an integral unix second, got %v", row, ndjsonTimeKey, tsf)
+		}
 		delete(obj, ndjsonTimeKey)
 
 		if b == nil {

@@ -151,6 +151,19 @@ func TestStreamNDJSON(t *testing.T) {
 	}
 }
 
+// TestStreamNDJSONRejectsInexactTimestamps: a "ts" that does not
+// convert to int64 exactly is an error naming its line, not a silently
+// truncated or wrapped timestamp.
+func TestStreamNDJSONRejectsInexactTimestamps(t *testing.T) {
+	for _, ts := range []string{"1.5", "1e300", "-1e300", "9.3e18"} {
+		in := "{\"ts\":1,\"cpu\":1}\n{\"ts\":" + ts + ",\"cpu\":2}\n"
+		err := StreamNDJSON(strings.NewReader(in), 0, func(*metrics.Dataset) error { return nil })
+		if err == nil || !strings.Contains(err.Error(), "line 1") {
+			t.Errorf("ts %s: err = %v, want a line 1 error", ts, err)
+		}
+	}
+}
+
 func TestStreamNDJSONErrors(t *testing.T) {
 	cases := map[string]string{
 		"empty stream":        "",

@@ -181,7 +181,7 @@ func TestIngestRecoversFromDetectionPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.stream = nil
+	inst.win.Stream = nil
 
 	err = r.Ingest("t", "db", flatChunk(1020, 20))
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
@@ -557,7 +557,7 @@ func TestIngestDetectionPanicSentinel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst.stream = nil // the next append panics inside detect.Stream
+	inst.win.Stream = nil // the next append panics inside detect.Stream
 	if err := r.Ingest("t", "db", flatChunk(1020, 20)); !errors.Is(err, ErrDetectionPanic) {
 		t.Fatalf("panicking append returned %v, want ErrDetectionPanic", err)
 	}

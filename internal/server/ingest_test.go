@@ -118,6 +118,8 @@ func TestIngestEndpointErrors(t *testing.T) {
 			http.StatusBadRequest, CodeInvalidRequest},
 		{"malformed ndjson", "/v1/ingest/db", "application/x-ndjson", "{\"cpu\":1}\n",
 			http.StatusBadRequest, CodeInvalidRequest},
+		{"fractional ndjson timestamp", "/v1/ingest/db", "application/x-ndjson", "{\"ts\":1.5,\"cpu\":1}\n",
+			http.StatusBadRequest, CodeInvalidRequest},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, tc.contentType, strings.NewReader(tc.body))
 		if err != nil {

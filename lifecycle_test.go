@@ -120,14 +120,14 @@ func TestDiagnoseTimeout(t *testing.T) {
 	}
 }
 
-// TestDiagnoseMatchesLegacyAPI is the golden equivalence test for the
-// API redesign: Diagnose must return exactly what the legacy
-// Explain+RankAll pair returned — same predicates, same causes, same
-// full ranking — at every worker count, with and without learned
-// models.
+// TestDiagnoseMatchesLegacyAPI pins Diagnose against the ranking-only
+// API that remains: its full ranking equals RankAllContext's, and its
+// explanation is identical at every worker count, with and without
+// learned models.
 func TestDiagnoseMatchesLegacyAPI(t *testing.T) {
-	for _, workers := range []int{1, 2, 8} {
-		for _, learned := range []bool{false, true} {
+	for _, learned := range []bool{false, true} {
+		var base *dbsherlock.Explanation
+		for _, workers := range []int{1, 2, 8} {
 			a := dbsherlock.MustNew(dbsherlock.WithTheta(0.05), dbsherlock.WithWorkers(workers))
 			if learned {
 				for _, kind := range []dbsherlock.AnomalyKind{dbsherlock.LockContention, dbsherlock.NetworkCongestion} {
@@ -141,11 +141,7 @@ func TestDiagnoseMatchesLegacyAPI(t *testing.T) {
 			}
 			ds, abn := simulateAnomaly(t, dbsherlock.LockContention, 43)
 
-			expl, err := a.Explain(ds, abn, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ranked, err := a.RankAll(ds, abn, nil)
+			ranked, err := a.RankAllContext(context.Background(), ds, abn, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,11 +149,13 @@ func TestDiagnoseMatchesLegacyAPI(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(res.Explanation, expl) {
-				t.Errorf("workers=%d learned=%v: Diagnose explanation differs from Explain", workers, learned)
+			if base == nil {
+				base = res.Explanation
+			} else if !reflect.DeepEqual(res.Explanation, base) {
+				t.Errorf("workers=%d learned=%v: Diagnose explanation differs from workers=1", workers, learned)
 			}
 			if !reflect.DeepEqual(res.AllCauses, ranked) {
-				t.Errorf("workers=%d learned=%v: Diagnose.AllCauses = %v, RankAll = %v",
+				t.Errorf("workers=%d learned=%v: Diagnose.AllCauses = %v, RankAllContext = %v",
 					workers, learned, res.AllCauses, ranked)
 			}
 		}

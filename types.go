@@ -39,7 +39,7 @@ type (
 	// symptom, with the rule and independence factor that justified it.
 	PrunedPredicate = domain.Pruned
 	// TraceSnapshot is the JSON-ready per-stage timing and work-count
-	// view of one traced diagnosis (WithTracing / ExplainTraced).
+	// view of one traced diagnosis (WithTracing / DiagnoseRequest.Trace).
 	TraceSnapshot = obs.Snapshot
 	// TraceStage is one stage's cumulative duration in a TraceSnapshot.
 	TraceStage = obs.StageTiming
